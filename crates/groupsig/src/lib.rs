@@ -543,8 +543,8 @@ mod tests {
 
     #[test]
     fn parallel_sweep_matches_serial() {
-        // Above the thread fan-out threshold (32 tokens) the sweep must
-        // return the same index as below it.
+        // Above the thread fan-out threshold (8 cells by default) the sweep
+        // must return the same index as below it.
         let mut f = fixture();
         let gpk = *f.issuer.public_key();
         let mut url: Vec<_> = (0..33)

@@ -3,10 +3,11 @@
 
 use core::fmt;
 
-use peace_curve::{psi, FixedBaseTable, G1, G2};
+use peace_curve::{psi, FixedBaseTable, ProjectivePoint, G1, G2};
 use peace_field::Fq;
 use peace_pairing::{
-    miller, pairing, pairing_pair, pairing_product, pairing_ratio, Gt, GtPowTable, MillerValue,
+    miller, pairing, pairing_pair, pairing_product, pairing_ratio, Gt, GtPowTable, MillerLines,
+    MillerValue, OpSnapshot,
 };
 use peace_wire::{Decode, Encode, Reader, Writer};
 use rand::RngCore;
@@ -500,55 +501,17 @@ impl PreparedGpk {
         url: &[RevocationToken],
         mode: BasesMode,
     ) -> Vec<Result<Option<usize>, VerifyError>> {
-        let legs = sigma_legs(&self.gpk, items, mode, &|sig| {
-            (
-                self.mul_g2_w(&sig.s_x, &sig.c),
-                self.mul_w_g2(&sig.s_alpha, &sig.s_delta),
-            )
-        });
-        let sigma = finish_sigma_batch(&self.gpk, items, &legs, &|c| {
-            self.e_g1_g2_table.pow(c).invert()
-        });
-        let mut out: Vec<Result<Option<usize>, VerifyError>> =
-            sigma.iter().map(|r| r.map(|()| None)).collect();
-        let live: Vec<usize> = (0..items.len()).filter(|&i| sigma[i].is_ok()).collect();
-        if live.is_empty() || url.is_empty() {
-            return out;
-        }
-        // Revocation grid: one row per valid signature, one column per URL
-        // token, every cell an independent Miller product — flattened into
-        // a single batched reduction. The row-shared factor f_{q,−T₁}(φ(v̂))
-        // is computed once per row, as in `revocation_sweep`.
-        let shared = fill_indexed(
-            live.len(),
-            PARALLEL_VERIFY_THRESHOLD,
-            MillerValue::ONE,
-            &|j| {
-                let SigmaLeg::Live { v_hat, .. } = &legs[live[j]] else {
-                    unreachable!("live indices point at live legs");
-                };
-                miller(&items[live[j]].1.t1.neg(), v_hat)
-            },
-        );
-        let n = url.len();
-        let cells = fill_indexed(
-            live.len() * n,
-            sweep_spawn_threshold(),
-            MillerValue::ONE,
-            &|k| {
-                let (row, col) = (k / n, k % n);
-                let i = live[row];
-                let SigmaLeg::Live { u_hat, .. } = &legs[i] else {
-                    unreachable!("live indices point at live legs");
-                };
-                miller(&items[i].1.t2.sub(&url[col].0), u_hat).mul(&shared[row])
-            },
-        );
-        let finals = MillerValue::finalize_batch(&cells);
-        for (row, &i) in live.iter().enumerate() {
-            out[i] = Ok(finals[row * n..(row + 1) * n].iter().position(Gt::is_one));
-        }
-        out
+        let bases = self.verify_batch_bases(items, mode);
+        let rows: Vec<(&GroupSignature, G2, G2)> = bases
+            .iter()
+            .zip(items)
+            .filter_map(|(r, &(_, sig))| r.as_ref().ok().map(|&(u, v)| (sig, u, v)))
+            .collect();
+        let mut verdicts = revocation_sweep_grid(&rows, url).into_iter();
+        bases
+            .into_iter()
+            .map(|r| r.map(|_| verdicts.next().flatten()))
+            .collect()
     }
 }
 
@@ -559,7 +522,6 @@ impl PreparedGpk {
 // signature path), so boxing the large variant would cost an allocation per
 // verified signature to shrink a vector that lives for one batch call.
 #[allow(clippy::large_enum_variant)]
-#[derive(Clone)]
 enum SigmaLeg {
     /// `T₁` or `T₂` degenerate — rejected without any pairing work.
     Degenerate,
@@ -583,36 +545,31 @@ fn sigma_legs(
     mode: BasesMode,
     sides: &(dyn Fn(&GroupSignature) -> (G2, G2) + Sync),
 ) -> Vec<SigmaLeg> {
-    fill_indexed(
-        items.len(),
-        PARALLEL_VERIFY_THRESHOLD,
-        SigmaLeg::Degenerate,
-        &|i| {
-            let (msg, sig) = items[i];
-            if sig.t1.is_identity() || sig.t2.is_identity() {
-                return SigmaLeg::Degenerate;
-            }
-            let (u_hat, v_hat) = h0_bases(gpk, msg, &sig.r, mode);
-            let u = psi(&u_hat);
-            let v = psi(&v_hat);
-            let neg_c = sig.c.neg();
-            let r1 = u.mul_mul(&sig.s_alpha, &sig.t1, &neg_c);
-            let (t2_side, v_side) = sides(sig);
-            // Unreduced R̃₂ numerator: f(T₂, t2_side) · conj(f(v, v_side))
-            // — the quotient's final exponentiation is deferred to the
-            // batch-wide reduction.
-            let f = miller(&sig.t2, &t2_side).mul(&miller(&v, &v_side).conjugate());
-            let neg_s_delta = sig.s_delta.neg();
-            let r3 = sig.t1.mul_mul(&sig.s_x, &u, &neg_s_delta);
-            SigmaLeg::Live {
-                u_hat,
-                v_hat,
-                r1,
-                r3,
-                f,
-            }
-        },
-    )
+    fill_indexed(items.len(), PARALLEL_VERIFY_THRESHOLD, &|i| {
+        let (msg, sig) = items[i];
+        if sig.t1.is_identity() || sig.t2.is_identity() {
+            return SigmaLeg::Degenerate;
+        }
+        let (u_hat, v_hat) = h0_bases(gpk, msg, &sig.r, mode);
+        let u = psi(&u_hat);
+        let v = psi(&v_hat);
+        let neg_c = sig.c.neg();
+        let r1 = u.mul_mul(&sig.s_alpha, &sig.t1, &neg_c);
+        let (t2_side, v_side) = sides(sig);
+        // Unreduced R̃₂ numerator: f(T₂, t2_side) · conj(f(v, v_side))
+        // — the quotient's final exponentiation is deferred to the
+        // batch-wide reduction.
+        let f = miller(&sig.t2, &t2_side).mul(&miller(&v, &v_side).conjugate());
+        let neg_s_delta = sig.s_delta.neg();
+        let r3 = sig.t1.mul_mul(&sig.s_x, &u, &neg_s_delta);
+        SigmaLeg::Live {
+            u_hat,
+            v_hat,
+            r1,
+            r3,
+            f,
+        }
+    })
 }
 
 /// Reduces every leg's Miller value in one [`MillerValue::finalize_batch`]
@@ -738,11 +695,11 @@ pub fn token_matches(
     pairing_product(&[(lhs, *u_hat), (sig.t1.neg(), *v_hat)]).is_one()
 }
 
-/// Default token count at and above which [`revocation_sweep`] fans the
-/// per-token Miller loops out across OS threads — the break-even measured
-/// on the reference box (a full scoped fan-out costs tens of microseconds;
-/// a Miller loop ~0.4 ms, so threading pays from a handful of tokens with
-/// headroom for slower spawn paths).
+/// Default cell count at and above which [`revocation_sweep_grid`] fans
+/// the per-token Miller evaluations out across OS threads — the break-even
+/// measured on the reference box (a full scoped fan-out costs tens of
+/// microseconds; a prepared-line evaluation ~0.3 ms, so threading pays from
+/// a handful of tokens with headroom for slower spawn paths).
 pub const DEFAULT_SWEEP_SPAWN_THRESHOLD: usize = 8;
 
 /// Process-wide sweep fan-out threshold (see
@@ -778,13 +735,9 @@ const PARALLEL_VERIFY_THRESHOLD: usize = 4;
 /// one Miller loop). Single-threaded below the threshold — and always for
 /// `len <= 1`, whatever the threshold says: a single element has nothing to
 /// parallelize, so spawn overhead would be pure regression. Results are
-/// index-ordered either way.
-fn fill_indexed<T: Clone + Send>(
-    len: usize,
-    threshold: usize,
-    placeholder: T,
-    f: &(dyn Fn(usize) -> T + Sync),
-) -> Vec<T> {
+/// index-ordered either way, and each worker's op counts are credited to
+/// the calling thread, so its measurements include the delegated work.
+fn fill_indexed<T: Send>(len: usize, threshold: usize, f: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> {
     if len < threshold || len <= 1 {
         return (0..len).map(f).collect();
     }
@@ -793,97 +746,114 @@ fn fill_indexed<T: Clone + Send>(
         .unwrap_or(1)
         .min(len);
     let chunk = len.div_ceil(workers);
-    let mut out = vec![placeholder; len];
     std::thread::scope(|s| {
-        for (ci, out_chunk) in out.chunks_mut(chunk).enumerate() {
-            s.spawn(move || {
-                for (off, slot) in out_chunk.iter_mut().enumerate() {
-                    *slot = f(ci * chunk + off);
-                }
-            });
-        }
-    });
-    out
+        let handles: Vec<_> = (0..len)
+            .step_by(chunk)
+            .map(|start| {
+                s.spawn(move || {
+                    let out: Vec<T> = (start..len.min(start + chunk)).map(f).collect();
+                    // A scoped worker is a fresh thread: its tallies are
+                    // exactly the work it did.
+                    (out, OpSnapshot::capture())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| {
+                let (out, cost) = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+                cost.credit_current_thread();
+                out
+            })
+            .collect()
+    })
 }
 
 /// Shared-Miller revocation sweep over a whole URL (paper step 3.3,
-/// restructured).
+/// restructured): the one-row [`revocation_sweep_grid`].
 ///
-/// The Eq.3 check for token `Aᵢ` is `ê(T₂−Aᵢ, û)·ê(−T₁, v̂) = 1`. The second
-/// factor is token-independent, so its Miller value `f_{q,−T₁}(φ(v̂))` is
-/// computed **once** and multiplied into each per-token value
-/// `f_{q,T₂−Aᵢ}(φ(û))`; the batch is then reduced by
-/// [`MillerValue::finalize_batch`], which shares one field inversion and one
-/// hard-part pass. Total cost for `n` tokens: `n + 1` Miller loops and `1`
-/// final exponentiation, versus `2n` of each for the naive
-/// [`token_matches`] scan.
-///
-/// Large URLs additionally fan the (independent) per-token Miller loops out
-/// across OS threads with `std::thread::scope`; results are positionally
-/// ordered, so the returned index is deterministic either way.
+/// Cost for `n` tokens: `n + 1` Miller evaluations and `1` final
+/// exponentiation, versus `2n` of each for the naive [`token_matches`]
+/// scan.
 pub fn revocation_sweep(
     sig: &GroupSignature,
     tokens: &[RevocationToken],
     u_hat: &G2,
     v_hat: &G2,
 ) -> Option<usize> {
-    if tokens.is_empty() {
-        return None;
-    }
-    // Token-independent factor: f_{q,−T₁}(φ(v̂)), one Miller loop.
-    let shared = miller(&sig.t1.neg(), v_hat);
-    let values = fill_indexed(
-        tokens.len(),
-        sweep_spawn_threshold(),
-        MillerValue::ONE,
-        &|i| miller(&sig.t2.sub(&tokens[i].0), u_hat).mul(&shared),
-    );
-    MillerValue::finalize_batch(&values)
-        .iter()
-        .position(Gt::is_one)
+    revocation_sweep_grid(&[(sig, *u_hat, *v_hat)], tokens)[0]
 }
 
 /// Shared-Miller revocation sweep over **many signatures at once** against
-/// one token list: the full signature×token grid of Eq.3 checks collapses
-/// into a single [`MillerValue::finalize_batch`] pass (one field inversion,
-/// one hard-part exponentiation for the whole grid), with each row's
-/// token-independent `f_{q,−T₁}(φ(v̂))` factor computed once. Rows carry
-/// their own H₀ bases — typically the ones
-/// [`PreparedGpk::verify_batch_bases`] returned.
+/// one token list — the one sweep kernel behind [`revocation_sweep`],
+/// [`PreparedGpk::verify_and_check_batch`] and the staged engine.
+///
+/// The Eq.3 check for row `(T₁, T₂, û, v̂)` and token `Aᵢ` is
+/// `ê(T₂−Aᵢ, û)·ê(−T₁, v̂) = 1`. Per row:
+///
+/// * the token-independent factor `f_{q,−T₁}(φ(v̂))` is one Miller loop;
+/// * `ê(T₂−Aᵢ, û)` is evaluated as `ê(û, T₂−Aᵢ)` — the Type-1 pairing is
+///   symmetric on the order-`q` group, so every reduced value (and every
+///   verdict) is unchanged — from û's [`MillerLines`], recorded once per
+///   row: each token then costs only the `F_p²` accumulation, not the
+///   point arithmetic of a fresh loop over `T₂−Aᵢ`.
+///
+/// The differences `T₂−Aᵢ` are normalized with one batch inversion, the
+/// per-cell evaluations fan out across OS threads from
+/// [`sweep_spawn_threshold`] cells, and the whole grid is reduced by a
+/// single [`MillerValue::finalize_batch`] pass (one field inversion, one
+/// hard-part exponentiation). Rows carry their own H₀ bases — typically the
+/// ones [`PreparedGpk::verify_batch_bases`] returned.
 ///
 /// `out[i]` is the matching token index for `rows[i]`, or `None` when the
-/// signer is unrevoked — exactly what a per-row [`revocation_sweep`] would
-/// return.
+/// signer is unrevoked — exactly what a [`token_matches`] scan returns.
 pub fn revocation_sweep_grid(
     rows: &[(&GroupSignature, G2, G2)],
     tokens: &[RevocationToken],
+) -> Vec<Option<usize>> {
+    sweep_grid(rows, tokens, sweep_spawn_threshold())
+}
+
+/// [`revocation_sweep_grid`] with an explicit cell fan-out threshold.
+fn sweep_grid(
+    rows: &[(&GroupSignature, G2, G2)],
+    tokens: &[RevocationToken],
+    spawn_threshold: usize,
 ) -> Vec<Option<usize>> {
     let n = tokens.len();
     if rows.is_empty() || n == 0 {
         return vec![None; rows.len()];
     }
-    let shared = fill_indexed(
-        rows.len(),
-        PARALLEL_VERIFY_THRESHOLD,
-        MillerValue::ONE,
-        &|j| {
-            let (sig, _, v_hat) = &rows[j];
-            miller(&sig.t1.neg(), v_hat)
-        },
-    );
-    let cells = fill_indexed(
-        rows.len() * n,
-        sweep_spawn_threshold(),
-        MillerValue::ONE,
-        &|k| {
-            let (row, col) = (k / n, k % n);
-            let (sig, u_hat, _) = &rows[row];
-            miller(&sig.t2.sub(&tokens[col].0), u_hat).mul(&shared[row])
-        },
-    );
+    let prep = fill_indexed(rows.len(), PARALLEL_VERIFY_THRESHOLD, &|j| {
+        let (sig, u_hat, v_hat) = &rows[j];
+        (MillerLines::new(&psi(u_hat)), miller(&sig.t1.neg(), v_hat))
+    });
+    let diffs = differences(rows.iter().map(|(sig, _, _)| &sig.t2), tokens);
+    let cells = fill_indexed(rows.len() * n, spawn_threshold, &|k| {
+        let (lines, shared) = &prep[k / n];
+        lines.eval(&diffs[k]).mul(shared)
+    });
     let finals = MillerValue::finalize_batch(&cells);
-    (0..rows.len())
-        .map(|r| finals[r * n..(r + 1) * n].iter().position(Gt::is_one))
+    finals
+        .chunks(n)
+        .map(|row| row.iter().position(Gt::is_one))
+        .collect()
+}
+
+/// `T₂ − Aᵢ` for every `T₂` (outer) and token (inner), row-major, as second
+/// pairing arguments: one batch inversion normalizes all of them.
+fn differences<'a>(t2s: impl Iterator<Item = &'a G1>, tokens: &[RevocationToken]) -> Vec<G2> {
+    let projective: Vec<ProjectivePoint> = t2s
+        .flat_map(|t2| {
+            let t2 = t2.point().to_projective();
+            tokens
+                .iter()
+                .map(move |a| t2.add_affine(&a.0.point().neg()))
+        })
+        .collect();
+    ProjectivePoint::batch_to_affine(&projective)
+        .into_iter()
+        .map(G2::from_point_unchecked)
         .collect()
 }
 
@@ -917,6 +887,11 @@ pub fn open(
     revocation_index(gpk, msg, sig, grt, mode)
 }
 
+/// Records per [`open_batch`] block: each live record holds û's
+/// [`MillerLines`] (~40 KiB), so a ledger-wide audit walks its records in
+/// blocks of this many to keep memory flat.
+const OPEN_BATCH_BLOCK: usize = 256;
+
 /// Batched Open over many records at once (the accountability ledger's
 /// audit sweep).
 ///
@@ -925,49 +900,62 @@ pub fn open(
 /// column `< i` resolved, and a record drops out of the sweep the moment
 /// its key share matches. Since an honest transcript matches exactly one
 /// `grt` row, a record whose signer sits at column `m` costs `m + 2`
-/// Miller loops (its token-independent `ê(−T₁, v̂)` factor plus columns
-/// `0..=m`) instead of the full `n + 1` a per-record [`open`] pays —
-/// about half the Miller loops *and* half the hard-part exponentiations
-/// on average, with the worst case (a forged record no token matches)
-/// identical to [`open`]. Each column is reduced by one shared
-/// [`MillerValue::finalize_batch`] pass across all still-live records,
-/// and wide columns fan out across OS threads. Output is positionally
-/// ordered: `out[k]` is the matching token index for `items[k]`, or
-/// `None` if no registry token matches.
+/// Miller evaluations (its token-independent `ê(−T₁, v̂)` factor plus
+/// columns `0..=m`) instead of the full `n + 1` a per-record [`open`] pays,
+/// with the worst case (a forged record no token matches) identical to
+/// [`open`]. As in [`revocation_sweep_grid`], each record's column values
+/// `ê(û, T₂−Aᵢ)` replay û's [`MillerLines`], recorded once per record and
+/// reused across columns. Each column is reduced by one shared
+/// [`MillerValue::finalize_batch`] pass across the still-live records of a
+/// block of [`OPEN_BATCH_BLOCK`], and wide columns fan out across OS
+/// threads. Output is positionally ordered: `out[k]` is the matching token
+/// index for `items[k]`, or `None` if no registry token matches.
 pub fn open_batch(
     gpk: &GroupPublicKey,
     items: &[(&[u8], &GroupSignature)],
     grt: &[RevocationToken],
     mode: BasesMode,
 ) -> Vec<Option<usize>> {
-    let n = grt.len();
-    let mut out = vec![None; items.len()];
-    if items.is_empty() || n == 0 {
-        return out;
+    if grt.is_empty() {
+        return vec![None; items.len()];
     }
-    // Per-record state reused by every token column: the H₀ bases û and
-    // the token-independent Miller factor f_{q,−T₁}(φ(v̂)).
-    let prep: Vec<(G2, MillerValue, G1)> = items
-        .iter()
-        .map(|(msg, sig)| {
-            let (u_hat, v_hat) = h0_bases(gpk, msg, &sig.r, mode);
-            (u_hat, miller(&sig.t1.neg(), &v_hat), sig.t2)
-        })
-        .collect();
+    items
+        .chunks(OPEN_BATCH_BLOCK)
+        .flat_map(|block| open_block(gpk, block, grt, mode))
+        .collect()
+}
+
+/// One [`open_batch`] block.
+fn open_block(
+    gpk: &GroupPublicKey,
+    items: &[(&[u8], &GroupSignature)],
+    grt: &[RevocationToken],
+    mode: BasesMode,
+) -> Vec<Option<usize>> {
+    let mut out = vec![None; items.len()];
+    // Per-record state reused by every token column: û's lines and the
+    // token-independent Miller factor f_{q,−T₁}(φ(v̂)).
+    let prep = fill_indexed(items.len(), PARALLEL_VERIFY_THRESHOLD, &|k| {
+        let (msg, sig) = items[k];
+        let (u_hat, v_hat) = h0_bases(gpk, msg, &sig.r, mode);
+        (
+            MillerLines::new(&psi(&u_hat)),
+            miller(&sig.t1.neg(), &v_hat),
+        )
+    });
     let mut live: Vec<usize> = (0..items.len()).collect();
     for (col, token) in grt.iter().enumerate() {
         if live.is_empty() {
             break;
         }
-        let vals = fill_indexed(
-            live.len(),
-            sweep_spawn_threshold(),
-            MillerValue::ONE,
-            &|j| {
-                let (u_hat, shared, t2) = &prep[live[j]];
-                miller(&t2.sub(&token.0), u_hat).mul(shared)
-            },
+        let diffs = differences(
+            live.iter().map(|&k| &items[k].1.t2),
+            std::slice::from_ref(token),
         );
+        let vals = fill_indexed(live.len(), sweep_spawn_threshold(), &|j| {
+            let (lines, shared) = &prep[live[j]];
+            lines.eval(&diffs[j]).mul(shared)
+        });
         let finals = MillerValue::finalize_batch(&vals);
         let mut still = Vec::with_capacity(live.len());
         for (&k, g) in live.iter().zip(&finals) {
@@ -1064,13 +1052,12 @@ mod threshold_tests {
     fn one_element_fill_never_spawns() {
         let main_id = std::thread::current().id();
         for threshold in [0usize, 1, 2] {
-            let ids = fill_indexed(1, threshold, None, &|_| Some(std::thread::current().id()));
-            assert_eq!(ids, vec![Some(main_id)], "threshold {threshold} spawned");
+            let ids = fill_indexed(1, threshold, &|_| std::thread::current().id());
+            assert_eq!(ids, vec![main_id], "threshold {threshold} spawned");
         }
         // Zero elements: nothing runs, nothing spawns.
-        let empty = fill_indexed(0, 0, None::<std::thread::ThreadId>, &|_| {
-            unreachable!("no elements to fill")
-        });
+        let empty =
+            fill_indexed::<std::thread::ThreadId>(0, 0, &|_| unreachable!("no elements to fill"));
         assert!(empty.is_empty());
     }
 
@@ -1079,10 +1066,10 @@ mod threshold_tests {
     #[test]
     fn two_elements_fan_out_at_low_threshold() {
         let main_id = std::thread::current().id();
-        let ids = fill_indexed(2, 2, None, &|_| Some(std::thread::current().id()));
+        let ids = fill_indexed(2, 2, &|_| std::thread::current().id());
         assert_eq!(ids.len(), 2);
         assert!(
-            ids.iter().all(|id| id.is_some() && *id != Some(main_id)),
+            ids.iter().all(|id| *id != main_id),
             "a met threshold must spawn workers"
         );
     }
@@ -1096,5 +1083,99 @@ mod threshold_tests {
         set_sweep_spawn_threshold(64);
         assert_eq!(sweep_spawn_threshold(), 64);
         set_sweep_spawn_threshold(prior);
+    }
+}
+
+#[cfg(test)]
+mod sweep_tests {
+    use super::*;
+    use crate::keys::IssuerKey;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn token_scan(row: &(&GroupSignature, G2, G2), url: &[RevocationToken]) -> Option<usize> {
+        let (sig, u_hat, v_hat) = row;
+        url.iter().position(|t| token_matches(sig, t, u_hat, v_hat))
+    }
+
+    /// The prepared-line sweep against the per-token `token_matches` oracle:
+    /// revoked signer first, in the middle, last and absent, plus a row
+    /// whose `T₂` equals a listed `Aᵢ` (so `T₂ − Aᵢ` is the zero point), at
+    /// a serial, the lowest and the default fan-out threshold.
+    #[test]
+    fn sweep_grid_matches_token_scan() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let issuer = IssuerKey::generate(&mut rng);
+        let gpk = *issuer.public_key();
+        let grp = issuer.new_group_secret(&mut rng);
+        let members: Vec<_> = (0..9).map(|_| issuer.issue(&grp, &mut rng)).collect();
+        let url: Vec<RevocationToken> = members.iter().map(|m| m.revocation_token()).collect();
+        let outsider = issuer.issue(&grp, &mut rng);
+        let mut sigs: Vec<GroupSignature> = [&members[0], &members[4], &members[8], &outsider]
+            .iter()
+            .map(|m| sign(&gpk, m, b"grid", BasesMode::PerMessage, &mut rng))
+            .collect();
+        let mut zero = sigs[3];
+        zero.t2 = url[5].0;
+        sigs.push(zero);
+        let rows: Vec<(&GroupSignature, G2, G2)> = sigs
+            .iter()
+            .map(|sig| {
+                let (u, v) = h0_bases(&gpk, b"grid", &sig.r, BasesMode::PerMessage);
+                (sig, u, v)
+            })
+            .collect();
+        let expect: Vec<Option<usize>> = rows.iter().map(|row| token_scan(row, &url)).collect();
+        assert_eq!(expect, vec![Some(0), Some(4), Some(8), None, None]);
+        for threshold in [usize::MAX, 2, DEFAULT_SWEEP_SPAWN_THRESHOLD] {
+            assert_eq!(
+                sweep_grid(&rows, &url, threshold),
+                expect,
+                "threshold {threshold}"
+            );
+            for (row, want) in rows.iter().zip(&expect) {
+                let one = sweep_grid(std::slice::from_ref(row), &url, threshold);
+                assert_eq!(one, vec![*want], "one-row sweep, threshold {threshold}");
+            }
+        }
+        assert_eq!(revocation_sweep_grid(&rows, &[]), vec![None; rows.len()]);
+        assert!(revocation_sweep_grid(&[], &url).is_empty());
+    }
+
+    #[test]
+    fn open_batch_matches_per_record_open() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let issuer = IssuerKey::generate(&mut rng);
+        let gpk = *issuer.public_key();
+        let grp = issuer.new_group_secret(&mut rng);
+        let members: Vec<_> = (0..5).map(|_| issuer.issue(&grp, &mut rng)).collect();
+        let grt: Vec<RevocationToken> = members.iter().map(|m| m.revocation_token()).collect();
+        let outsider = issuer.issue(&grp, &mut rng);
+        let msgs: Vec<Vec<u8>> = (0..5).map(|i| format!("record-{i}").into_bytes()).collect();
+        let signers = [
+            &members[3],
+            &outsider,
+            &members[0],
+            &members[4],
+            &members[3],
+        ];
+        let sigs: Vec<GroupSignature> = signers
+            .iter()
+            .zip(&msgs)
+            .map(|(m, msg)| sign(&gpk, m, msg, BasesMode::PerMessage, &mut rng))
+            .collect();
+        let items: Vec<(&[u8], &GroupSignature)> =
+            msgs.iter().map(Vec::as_slice).zip(&sigs).collect();
+        let batch = open_batch(&gpk, &items, &grt, BasesMode::PerMessage);
+        let single: Vec<Option<usize>> = items
+            .iter()
+            .map(|&(msg, sig)| open(&gpk, msg, sig, &grt, BasesMode::PerMessage))
+            .collect();
+        assert_eq!(batch, single);
+        assert_eq!(batch, vec![Some(3), None, Some(0), Some(4), Some(3)]);
+        assert_eq!(
+            open_batch(&gpk, &items, &[], BasesMode::PerMessage),
+            vec![None; 5]
+        );
     }
 }

@@ -28,7 +28,7 @@ mod miller;
 pub mod ops;
 
 pub use gt::{Gt, GtPowTable};
-pub use miller::MillerValue;
+pub use miller::{MillerLines, MillerValue};
 pub use ops::{OpScope, OpSnapshot};
 
 use peace_curve::{G1, G2};
@@ -70,6 +70,15 @@ pub fn pairing_ratio(p1: &G1, q1: &G2, p2: &G1, q2: &G2) -> Gt {
     ops::record_pairing();
     ops::record_pairing();
     miller(p1, q1).mul(&miller(p2, q2).conjugate()).finalize()
+}
+
+/// [`pairing_ratio`] with both first arguments prepared as [`MillerLines`]:
+/// `ê(P₁, Q₁) · ê(P₂, Q₂)⁻¹`, the same value and op counts, without the
+/// point arithmetic of either Miller loop.
+pub fn pairing_ratio_prepared(p1: &MillerLines, q1: &G2, p2: &MillerLines, q2: &G2) -> Gt {
+    ops::record_pairing();
+    ops::record_pairing();
+    p1.eval(q1).mul(&p2.eval(q2).conjugate()).finalize()
 }
 
 /// Evaluates two pairings whose reductions share one batched final
@@ -251,8 +260,8 @@ mod tests {
 
     #[test]
     fn op_counters_track_pairings() {
-        // OpScope serializes against the other counting test in this binary
-        // (the counters are process-global).
+        // The scope counts this thread's work only, whatever the other
+        // tests in this binary run meanwhile.
         let scope = OpSnapshot::scope();
         let _ = pairing(&g1(), &g2());
         let _ = pairing(&g1(), &g2());
@@ -358,6 +367,65 @@ mod tests {
         assert_eq!(cost.final_exps, 1);
         assert_eq!(cost.miller_loops, 0);
         assert_eq!(cost.pairings, 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn prop_prepared_lines_match_miller(seed in proptest::prelude::any::<u64>()) {
+            // Bit-for-bit oracle: replaying P's recorded lines at Q gives
+            // the very F_p² value of the one-shot loop, not just the same
+            // reduced pairing.
+            let mut r = StdRng::seed_from_u64(seed);
+            let p = G1::random(&mut r);
+            let lines = MillerLines::new(&p);
+            for q in [G2::random(&mut r), G2::random(&mut r), g2()] {
+                proptest::prop_assert_eq!(lines.eval(&q), miller(&p, &q));
+            }
+        }
+    }
+
+    #[test]
+    fn prepared_lines_identity_slots() {
+        let mut r = rng();
+        let p = G1::random(&mut r);
+        let q = G2::random(&mut r);
+        assert_eq!(MillerLines::new(&G1::IDENTITY).eval(&q), MillerValue::ONE);
+        assert_eq!(MillerLines::new(&p).eval(&G2::IDENTITY), MillerValue::ONE);
+        assert_eq!(MillerLines::new(&p).pairing(&q), pairing(&p, &q));
+        let (p2, q2) = (G1::random(&mut r), G2::random(&mut r));
+        assert_eq!(
+            pairing_ratio_prepared(&MillerLines::new(&p), &q, &MillerLines::new(&p2), &q2),
+            pairing_ratio(&p, &q, &p2, &q2)
+        );
+    }
+
+    #[test]
+    fn miller_is_symmetric_after_reduction() {
+        // The unreduced f_{q,P}(φ(Q)) and f_{q,Q}(φ(P)) differ, but on the
+        // order-q group they reduce to the same 𝔾_T element — the fact the
+        // sweep relies on when it evaluates û's lines at T₂ − Aᵢ.
+        let mut r = rng();
+        let a = Fq::random(&mut r);
+        let b = Fq::random(&mut r);
+        let swapped = |x: &Fq, y: &Fq| {
+            let m = miller(&g1().mul(x), &g2().mul(y));
+            let w = miller(&g1().mul(y), &g2().mul(x));
+            (m, w)
+        };
+        // Distinct points, P = Q and P = −Q.
+        for (x, y) in [(a, b), (a, a), (a, a.neg())] {
+            let (m, w) = swapped(&x, &y);
+            assert_eq!(m.finalize(), w.finalize());
+        }
+        let (m, w) = swapped(&a, &b);
+        assert_ne!(m, w, "the unreduced values are not symmetric");
+        // Identity in either slot.
+        let p = G1::random(&mut r);
+        let q = G2::random(&mut r);
+        assert!(miller(&G1::IDENTITY, &q).finalize().is_one());
+        assert!(miller(&p, &G2::IDENTITY).finalize().is_one());
     }
 
     #[test]

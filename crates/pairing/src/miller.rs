@@ -26,9 +26,14 @@
 //! hard-part sweep over the cached cofactor wNAF schedule. The revocation
 //! check over `n` tokens drops from `2n` full pairings to `n + 1` Miller
 //! loops and one final exponentiation this way.
+//!
+//! [`MillerLines`] splits the Miller loop the other way: the line
+//! coefficients depend only on the first argument, so a fixed `P` records
+//! them once and every later `Q` costs only the `F_p²` accumulation.
 
 use std::sync::OnceLock;
 
+use peace_curve::{G1, G2};
 use peace_field::{cofactor, subgroup_order, Fp, Fp2};
 
 use crate::gt::Gt;
@@ -221,43 +226,141 @@ pub fn tate_pairing_product(pairs: &[(peace_curve::AffinePoint, peace_curve::Aff
 /// `q`, slope lines only.
 fn miller_loop(p: &Affine, q: &Affine) -> Fp2 {
     ops::record_miller_loop();
-    let digits = loop_naf();
+    let mut f = Fp2::ONE;
+    walk_lines(p, |doubles, line| absorb(&mut f, doubles, line, q));
+    f
+}
+
+/// One scaled Miller line, as a function of the second pairing argument:
+/// at `φ(Q) = (−x_Q, i·y_Q)` it takes the value
+/// `l = (c0 + c1·x_Q) + (c2·y_Q)·i`. The coefficients depend only on the
+/// first argument `P`, which is what lets [`MillerLines`] record them once
+/// and replay them against many `Q`.
+#[derive(Clone, Copy)]
+struct Line {
+    c0: Fp,
+    c1: Fp,
+    c2: Fp,
+}
+
+impl Line {
+    fn eval(&self, q: &Affine) -> Fp2 {
+        Fp2::new(self.c0.add(&self.c1.mul(&q.x)), self.c2.mul(&q.y))
+    }
+}
+
+/// Folds one loop step into the accumulator: `f ← f²` on a doubling step,
+/// then `f ← f·l(φ(Q))` unless the line was eliminated (`None`: its value
+/// lies in `F_p`).
+fn absorb(f: &mut Fp2, doubles: bool, line: Option<&Line>, q: &Affine) {
+    if doubles {
+        *f = f.square();
+    }
+    if let Some(l) = line {
+        *f = f.mul(&l.eval(q));
+    }
+}
+
+/// Walks the NAF schedule of `q` for the first argument `P`, handing every
+/// step's line to `emit(doubles, line)` in loop order. This is the one
+/// place the step formulas run: the one-shot [`miller_loop`] evaluates each
+/// line at `φ(Q)` as it goes, [`MillerLines::new`] records them.
+fn walk_lines(p: &Affine, mut emit: impl FnMut(bool, Option<&Line>)) {
     let neg_p = Affine {
         x: p.x,
         y: p.y.neg(),
     };
-    let mut f = Fp2::ONE;
     let mut t = Jac {
         x: p.x,
         y: p.y,
         z: Fp::ONE,
     };
+    let digits = loop_naf();
     // The top digit is 1 (it seeds T = P, f = 1); walk the rest MSB-first.
     for &d in digits[..digits.len() - 1].iter().rev() {
-        let l = double_step(&mut t, q);
-        f = f.square().mul(&l);
+        emit(true, double_step(&mut t).as_ref());
         if d == 1 {
-            let l = add_step(&mut t, p, q);
-            f = f.mul(&l);
+            emit(false, add_step(&mut t, p).as_ref());
         } else if d == -1 {
-            let l = add_step(&mut t, &neg_p, q);
-            f = f.mul(&l);
+            emit(false, add_step(&mut t, &neg_p).as_ref());
         }
     }
-    f
 }
 
-/// Doubles `t` in place and returns the (scaled) tangent-line value at
-/// `φ(Q)`. The scaling factor lies in `F_p` and vanishes under the final
-/// exponentiation.
-fn double_step(t: &mut Jac, q: &Affine) -> Fp2 {
+/// The Miller lines of a fixed first argument `P` (Costello–Stebila,
+/// *Fixed Argument Pairings*, LATINCRYPT 2010): every NAF step's line
+/// coefficients, computed once.
+///
+/// [`MillerLines::eval`] replays them against a second argument `Q` with two
+/// `F_p` multiplications per line and none of the Jacobian point arithmetic,
+/// and returns exactly the unreduced value of [`crate::miller`]`(P, Q)`, bit
+/// for bit — both run the same step formulas (`walk_lines`). A revocation
+/// sweep that pairs one H₀ base against every URL token pays the point
+/// arithmetic once per signature instead of once per token.
+#[derive(Clone)]
+pub struct MillerLines {
+    /// `(doubles, line)` per loop step, in loop order; empty for `P = O`.
+    steps: Vec<(bool, Option<Line>)>,
+}
+
+impl MillerLines {
+    /// Records the lines of `P` (no Miller loop is counted: the count goes
+    /// to each [`Self::eval`]).
+    pub fn new(p: &G1) -> Self {
+        let p = p.point();
+        let mut steps = Vec::new();
+        if !p.is_identity() {
+            walk_lines(&Affine { x: p.x, y: p.y }, |doubles, line| {
+                steps.push((doubles, line.copied()));
+            });
+        }
+        Self { steps }
+    }
+
+    /// The unreduced `f_{q,P}(φ(Q))`, identical to [`crate::miller`]`(P, Q)`.
+    /// Counts as one Miller loop; identity in either slot yields
+    /// [`MillerValue::ONE`] without counting, as `miller` does.
+    pub fn eval(&self, q: &G2) -> MillerValue {
+        let q = q.point();
+        if self.steps.is_empty() || q.is_identity() {
+            return MillerValue::ONE;
+        }
+        ops::record_miller_loop();
+        let q = Affine { x: q.x, y: q.y };
+        let mut f = Fp2::ONE;
+        for (doubles, line) in &self.steps {
+            absorb(&mut f, *doubles, line.as_ref(), &q);
+        }
+        MillerValue(f)
+    }
+
+    /// The reduced pairing `ê(P, Q)` from the prepared lines — the same
+    /// value and the same op counts (one pairing, one Miller loop, one final
+    /// exponentiation) as `pairing(P, Q)`.
+    pub fn pairing(&self, q: &G2) -> Gt {
+        ops::record_pairing();
+        self.eval(q).finalize()
+    }
+}
+
+impl core::fmt::Debug for MillerLines {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("MillerLines")
+            .field("steps", &self.steps.len())
+            .finish()
+    }
+}
+
+/// Doubles `t` in place and returns the (scaled) tangent line. The scaling
+/// factor lies in `F_p` and vanishes under the final exponentiation.
+fn double_step(t: &mut Jac) -> Option<Line> {
     if t.z.is_zero() {
-        return Fp2::ONE;
+        return None;
     }
     // y = 0 cannot occur for points of odd prime order, but guard anyway.
     if t.y.is_zero() {
         t.z = Fp::ZERO;
-        return Fp2::ONE;
+        return None;
     }
     let xx = t.x.square();
     let yy = t.y.square();
@@ -271,24 +374,26 @@ fn double_step(t: &mut Jac, q: &Affine) -> Fp2 {
     let y3 = m.mul(&s.sub(&x3)).sub(&yyyy.double().double().double());
     let z3 = t.y.mul(&t.z).double();
     // Line (scaled by 2YZ³ ∈ F_p):
-    //   l = [M·(X + Z²·x_Q) − 2Y²] + [Z3·Z²·y_Q]·i
-    let l_re = m.mul(&t.x.add(&zz.mul(&q.x))).sub(&yy.double());
-    let l_im = z3.mul(&zz).mul(&q.y);
+    //   l = [M·X − 2Y² + M·Z²·x_Q] + [Z3·Z²·y_Q]·i
+    let line = Line {
+        c0: m.mul(&t.x).sub(&yy.double()),
+        c1: m.mul(&zz),
+        c2: z3.mul(&zz),
+    };
     t.x = x3;
     t.y = y3;
     t.z = z3;
-    Fp2::new(l_re, l_im)
+    Some(line)
 }
 
-/// Adds affine `p` to `t` in place and returns the (scaled) chord-line value
-/// at `φ(Q)`.
-fn add_step(t: &mut Jac, p: &Affine, q: &Affine) -> Fp2 {
+/// Adds affine `p` to `t` in place and returns the (scaled) chord line.
+fn add_step(t: &mut Jac, p: &Affine) -> Option<Line> {
     if t.z.is_zero() {
         // T = O: "line" through O and P is vertical — value in F_p, skip.
         t.x = p.x;
         t.y = p.y;
         t.z = Fp::ONE;
-        return Fp2::ONE;
+        return None;
     }
     let zz = t.z.square();
     let u2 = p.x.mul(&zz); // x_P·Z²
@@ -298,11 +403,11 @@ fn add_step(t: &mut Jac, p: &Affine, q: &Affine) -> Fp2 {
     if h.is_zero() {
         if r.is_zero() {
             // T == P: tangent line (degenerate chord) — double instead.
-            return double_step(t, q);
+            return double_step(t);
         }
         // T == −P: vertical line, value in F_p → eliminated; result is O.
         t.z = Fp::ZERO;
-        return Fp2::ONE;
+        return None;
     }
     let hh = h.square();
     let hhh = h.mul(&hh);
@@ -312,13 +417,16 @@ fn add_step(t: &mut Jac, p: &Affine, q: &Affine) -> Fp2 {
     // Z·B serves both as the new Z coordinate and the line scale factor.
     let zb = t.z.mul(&h);
     // Line through P with slope r/(Z·B), scaled by Z·B ∈ F_p:
-    //   l = [A·(x_P + x_Q) − Z·B·y_P] + [Z·B·y_Q]·i
-    let l_re = r.mul(&p.x.add(&q.x)).sub(&zb.mul(&p.y));
-    let l_im = zb.mul(&q.y);
+    //   l = [A·x_P − Z·B·y_P + A·x_Q] + [Z·B·y_Q]·i
+    let line = Line {
+        c0: r.mul(&p.x).sub(&zb.mul(&p.y)),
+        c1: r,
+        c2: zb,
+    };
     t.x = x3;
     t.y = y3;
     t.z = zb;
-    Fp2::new(l_re, l_im)
+    Some(line)
 }
 
 /// Final exponentiation `f ↦ f^((p²−1)/q) = (f^(p−1))^((p+1)/q)`.

@@ -6,11 +6,13 @@
 //! working while `peace-noded --metrics-json` and the bench emitters can
 //! export the same numbers without a parallel counting path.
 //!
-//! For measurements, prefer [`OpScope`] over calling [`reset`] directly:
-//! the counters are process-global, so two test threads resetting and
-//! reading concurrently clobber each other. `OpScope` serializes bracketed
-//! regions behind one mutex and resets on entry.
+//! Every record also lands in a per-thread tally. [`OpSnapshot::capture`]
+//! reads the current thread's tallies, so a measurement counts the work of
+//! its own thread — plus the work of worker threads it fanned out to, once
+//! they credit it back ([`OpSnapshot::credit_current_thread`]) — however
+//! many other threads are counting at the same time.
 
+use std::cell::Cell;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use peace_telemetry::{global, Counter};
@@ -48,22 +50,51 @@ fn final_exps() -> &'static Arc<Counter> {
     handle(FINAL_EXP, &C)
 }
 
+/// The current thread's share of each pairing-layer counter.
+struct ThreadTally {
+    pairings: Cell<u64>,
+    gt_exps: Cell<u64>,
+    miller_loops: Cell<u64>,
+    final_exps: Cell<u64>,
+}
+
+thread_local! {
+    static THREAD: ThreadTally = const {
+        ThreadTally {
+            pairings: Cell::new(0),
+            gt_exps: Cell::new(0),
+            miller_loops: Cell::new(0),
+            final_exps: Cell::new(0),
+        }
+    };
+}
+
+fn bump(field: fn(&ThreadTally) -> &Cell<u64>, n: u64) {
+    THREAD.with(|t| {
+        let c = field(t);
+        c.set(c.get() + n);
+    });
+}
+
 /// Records one bilinear-map evaluation.
 #[inline]
 pub fn record_pairing() {
     pairings().inc();
+    bump(|t| &t.pairings, 1);
 }
 
 /// Records one exponentiation in `𝔾_T`.
 #[inline]
 pub fn record_gt_exp() {
     gt_exps().inc();
+    bump(|t| &t.gt_exps, 1);
 }
 
 /// Records one Miller loop (the `f_{q,P}(φ(Q))` evaluation).
 #[inline]
 pub fn record_miller_loop() {
     miller_loops().inc();
+    bump(|t| &t.miller_loops, 1);
 }
 
 /// Records one final exponentiation (one `f ↦ f^((p²−1)/q)` pass; a batch
@@ -71,6 +102,7 @@ pub fn record_miller_loop() {
 #[inline]
 pub fn record_final_exp() {
     final_exps().inc();
+    bump(|t| &t.final_exps, 1);
 }
 
 /// Pairings evaluated since the last reset.
@@ -104,17 +136,18 @@ pub fn reset() {
 
 /// RAII guard for a counted measurement region.
 ///
-/// The op counters are process-global; parallel test binaries that call
-/// [`OpSnapshot::reset_all`] and then assert exact counts race with each
-/// other. An `OpScope` takes a process-wide lock for its lifetime and
-/// resets every counter (curve and pairing layers) on entry, so counts
-/// observed inside the scope belong to the scope alone — provided all
-/// measuring regions go through `OpScope`. Dropping the guard releases
+/// [`Self::counts`] reports the work of the entering thread since entry
+/// (including worker threads it credited), so concurrent threads never
+/// leak into a scope's counts. The scope also takes a process-wide lock
+/// for its lifetime and resets the global counters on entry, so the
+/// process-wide registry (what `--metrics-json` and the bench artifacts
+/// embed) holds one scope's region at a time. Dropping the guard releases
 /// the lock; the counters keep their final values for later snapshots.
 #[must_use = "the scope guard serializes measurements for as long as it lives"]
 #[derive(Debug)]
 pub struct OpScope {
     _guard: MutexGuard<'static, ()>,
+    start: OpSnapshot,
 }
 
 impl OpScope {
@@ -128,13 +161,15 @@ impl OpScope {
             Err(poisoned) => poisoned.into_inner(),
         };
         OpSnapshot::reset_all();
-        Self { _guard: guard }
+        Self {
+            _guard: guard,
+            start: OpSnapshot::capture(),
+        }
     }
 
-    /// Counts recorded since this scope was entered (or since the last
-    /// [`OpSnapshot::reset_all`] inside it).
+    /// Counts recorded by this thread since the scope was entered.
     pub fn counts(&self) -> OpSnapshot {
-        OpSnapshot::capture()
+        OpSnapshot::capture().since(&self.start)
     }
 }
 
@@ -162,15 +197,29 @@ pub struct OpSnapshot {
 }
 
 impl OpSnapshot {
-    /// Captures the current counter values.
+    /// Captures the current thread's tallies: everything recorded on this
+    /// thread plus what finished workers credited to it. Bracket a region
+    /// with two captures and [`Self::since`].
     pub fn capture() -> Self {
-        Self {
-            g1_muls: peace_curve::ops::g1_mul_count(),
-            gt_exps: gt_exp_count(),
-            pairings: pairing_count(),
-            miller_loops: miller_loop_count(),
-            final_exps: final_exp_count(),
-        }
+        THREAD.with(|t| Self {
+            g1_muls: peace_curve::ops::thread_g1_mul_count(),
+            gt_exps: t.gt_exps.get(),
+            pairings: t.pairings.get(),
+            miller_loops: t.miller_loops.get(),
+            final_exps: t.final_exps.get(),
+        })
+    }
+
+    /// Adds these counts to the current thread's tallies. A thread that
+    /// fans work out to scoped workers calls this with each worker's final
+    /// [`Self::capture`] after joining it, so its own measurements include
+    /// the work it delegated.
+    pub fn credit_current_thread(&self) {
+        peace_curve::ops::credit_thread_g1_muls(self.g1_muls);
+        bump(|t| &t.gt_exps, self.gt_exps);
+        bump(|t| &t.pairings, self.pairings);
+        bump(|t| &t.miller_loops, self.miller_loops);
+        bump(|t| &t.final_exps, self.final_exps);
     }
 
     /// Enters a serialized, zeroed measurement region ([`OpScope::enter`]).
@@ -178,7 +227,8 @@ impl OpSnapshot {
         OpScope::enter()
     }
 
-    /// Resets all counters (curve and pairing layers).
+    /// Resets the process-wide counters (curve and pairing layers). Thread
+    /// tallies, which [`Self::capture`] reads, are not reset.
     pub fn reset_all() {
         peace_curve::ops::reset_g1_mul_count();
         reset();

@@ -27,14 +27,14 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use peace_curve::G2;
+use peace_curve::{psi, G1, G2};
 use peace_field::Fq;
 use peace_groupsig::{
     h0_bases, revocation_sweep, revocation_sweep_grid, set_sweep_spawn_threshold,
     sweep_spawn_threshold, BasesMode, GroupPublicKey, GroupSignature, PreparedGpk, RevocationToken,
     VerifyError,
 };
-use peace_pairing::{pairing, pairing_ratio};
+use peace_pairing::{pairing_ratio_prepared, MillerLines};
 use peace_telemetry::{Counter, Histogram};
 
 use crate::cache::{CacheKey, SweepCache};
@@ -124,8 +124,9 @@ pub struct RevocationEngine {
     gpk: GroupPublicKey,
     store: EpochUrlStore,
     cache: SweepCache,
-    /// `H₀(gpk)` — the system-wide bases; `Some` iff fixed-bases mode.
-    fixed_bases: Option<(G2, G2)>,
+    /// Miller lines of `H₀(gpk)` — the system-wide bases `(û, v̂)`; `Some`
+    /// iff fixed-bases mode.
+    fixed_bases: Option<FixedBases>,
     prefilter: Option<TokenPrefilter>,
     /// Exact suspect resolution: token fingerprint → URL index.
     exact: HashMap<CacheKey, u32>,
@@ -150,8 +151,7 @@ impl RevocationEngine {
         if let Some(t) = cfg.spawn_threshold {
             set_sweep_spawn_threshold(t);
         }
-        let fixed_bases = (cfg.bases_mode == BasesMode::FixedBases)
-            .then(|| h0_bases(gpk, &[], &Fq::ZERO, BasesMode::FixedBases));
+        let fixed_bases = FixedBases::derive(gpk, cfg.bases_mode);
         Self {
             cfg,
             gpk: *gpk,
@@ -170,8 +170,7 @@ impl RevocationEngine {
     /// epoch's (empty) list.
     pub fn install_gpk(&mut self, gpk: &GroupPublicKey) {
         self.gpk = *gpk;
-        self.fixed_bases = (self.cfg.bases_mode == BasesMode::FixedBases)
-            .then(|| h0_bases(gpk, &[], &Fq::ZERO, BasesMode::FixedBases));
+        self.fixed_bases = FixedBases::derive(gpk, self.cfg.bases_mode);
         self.prefilter = None;
         self.exact.clear();
         self.cache.clear();
@@ -225,10 +224,10 @@ impl RevocationEngine {
     }
 
     fn index_token(&mut self, token: &RevocationToken, idx: u32) {
-        let Some((u_hat, _)) = &self.fixed_bases else {
+        let Some(fb) = &self.fixed_bases else {
             return;
         };
-        let fp = peace_hash::sha256(&pairing(&token.0, u_hat).to_bytes());
+        let fp = peace_hash::sha256(&fb.token_fingerprint(token).to_bytes());
         if let Some(pf) = &mut self.prefilter {
             pf.insert(&fp);
         }
@@ -351,9 +350,8 @@ impl RevocationEngine {
         // literal retransmissions can hit, which is exactly what the
         // retry-heavy channel produces.
         let (key, d_fp) = match (&self.prefilter, &self.fixed_bases) {
-            (Some(_), Some((u_hat, v_hat))) => {
-                let d = pairing_ratio(&sig.t2, u_hat, &sig.t1, v_hat);
-                let fp = peace_hash::sha256(&d.to_bytes());
+            (Some(_), Some(fb)) => {
+                let fp = peace_hash::sha256(&fb.signature_fingerprint(sig).to_bytes());
                 (fp, Some(fp))
             }
             _ => {
@@ -466,7 +464,81 @@ impl RevocationEngine {
     }
 }
 
+/// The epoch's fixed bases `(û, v̂)` as prepared Miller lines, built once
+/// per gpk: every fingerprint pairs one of them against a varying point.
+/// On the Type-1 pairing `ê(û, X) = ê(X, û)`, so the fingerprints are
+/// byte-identical to the `pairing` / `pairing_ratio` values, with the
+/// same op counts.
+struct FixedBases {
+    u_lines: MillerLines,
+    v_lines: MillerLines,
+}
+
+impl FixedBases {
+    fn derive(gpk: &GroupPublicKey, mode: BasesMode) -> Option<Self> {
+        (mode == BasesMode::FixedBases).then(|| {
+            let (u_hat, v_hat) = h0_bases(gpk, &[], &Fq::ZERO, BasesMode::FixedBases);
+            Self {
+                u_lines: MillerLines::new(&psi(&u_hat)),
+                v_lines: MillerLines::new(&psi(&v_hat)),
+            }
+        })
+    }
+
+    /// `ê(Aᵢ, û)` — the value a listed token's signatures expose.
+    fn token_fingerprint(&self, token: &RevocationToken) -> peace_pairing::Gt {
+        self.u_lines.pairing(&second_slot(&token.0))
+    }
+
+    /// `D = ê(T₂, û) / ê(T₁, v̂)`, which equals `ê(A, û)` for the signer's A.
+    fn signature_fingerprint(&self, sig: &GroupSignature) -> peace_pairing::Gt {
+        pairing_ratio_prepared(
+            &self.u_lines,
+            &second_slot(&sig.t2),
+            &self.v_lines,
+            &second_slot(&sig.t1),
+        )
+    }
+}
+
+/// A 𝔾₁ point as a second pairing argument (`ψ⁻¹`, the identity on
+/// coordinates in this Type-1 setting).
+fn second_slot(p: &G1) -> G2 {
+    G2::from_point_unchecked(*p.point())
+}
+
 enum Staged {
     Settled(Option<usize>),
     NeedsSweep(CacheKey),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use peace_groupsig::{sign, IssuerKey};
+    use peace_pairing::{pairing, pairing_ratio};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    #[test]
+    fn prepared_fingerprints_match_pairings() {
+        let mut rng = StdRng::seed_from_u64(15);
+        let issuer = IssuerKey::generate(&mut rng);
+        let gpk = *issuer.public_key();
+        let grp = issuer.new_group_secret(&mut rng);
+        let member = issuer.issue(&grp, &mut rng);
+        let (u_hat, v_hat) = h0_bases(&gpk, &[], &Fq::ZERO, BasesMode::FixedBases);
+        let fb = FixedBases::derive(&gpk, BasesMode::FixedBases).expect("fixed-bases mode");
+        assert!(FixedBases::derive(&gpk, BasesMode::PerMessage).is_none());
+
+        let token = member.revocation_token();
+        let want = pairing(&token.0, &u_hat);
+        assert_eq!(fb.token_fingerprint(&token).to_bytes(), want.to_bytes());
+
+        let sig = sign(&gpk, &member, b"fp", BasesMode::FixedBases, &mut rng);
+        let d = pairing_ratio(&sig.t2, &u_hat, &sig.t1, &v_hat);
+        assert_eq!(fb.signature_fingerprint(&sig).to_bytes(), d.to_bytes());
+        // A signature exposes its signer's token fingerprint.
+        assert_eq!(d, want);
+    }
 }

@@ -4,6 +4,8 @@
 //!
 //! Reports, for the group-signature pipeline:
 //!
+//! * the Miller-loop rung of the layer ladder: one-shot `miller` against a
+//!   replay of prepared `MillerLines`,
 //! * sign / prepared-sign and verify / prepared-verify ops/sec,
 //! * the revocation sweep vs the naive per-token scan over a growing URL,
 //! * the op-count breakdown (𝔾₁ muls, 𝔾_T exps, pairings, Miller loops,
@@ -18,11 +20,12 @@
 
 use std::time::Instant;
 
-use peace::curve::G1;
+use peace::curve::{G1, G2};
 use peace::groupsig::{
     h0_bases, revocation_index, revocation_sweep, sign, token_matches, verify, BasesMode,
     GroupSignature, IssuerKey, OpSnapshot, PreparedGpk, RevocationToken,
 };
+use peace::pairing::{miller, MillerLines};
 use peace::revoke::{EngineConfig, RevocationEngine};
 use peace::telemetry::bench::BenchReport;
 use rand::rngs::StdRng;
@@ -79,7 +82,22 @@ fn main() {
 
     println!("== PEACE crypto perf snapshot (per-op counts in the right columns) ==\n");
 
-    println!("sign / verify:");
+    println!("Miller loop (one-shot vs prepared first argument):");
+    let mut r = StdRng::seed_from_u64(3);
+    let (p, q) = (G1::random(&mut r), G2::random(&mut r));
+    let (ops, cost) = measure(200, || {
+        std::hint::black_box(miller(&p, &q));
+    });
+    print_row("miller_loop", ops, &cost);
+    report_row(&mut report, "miller_loop", ops, &cost);
+    let lines = MillerLines::new(&p);
+    let (ops, cost) = measure(200, || {
+        std::hint::black_box(lines.eval(&q));
+    });
+    print_row("miller_prepared_eval", ops, &cost);
+    report_row(&mut report, "miller_prepared_eval", ops, &cost);
+
+    println!("\nsign / verify:");
     let mut r = StdRng::seed_from_u64(1);
     let (ops, cost) = measure(30, || {
         let _ = sign(&gpk, &member, msg, mode, &mut r);
